@@ -8,6 +8,7 @@
 #include "core/frontend.hpp"
 #include "pkg/pkg.hpp"
 #include "support/sha256.hpp"
+#include "support/sha256_internal.hpp"
 #include "tar/tar.hpp"
 #include "toolchain/options.hpp"
 #include "workloads/harness.hpp"
@@ -30,6 +31,18 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+// The portable scalar compressor that BM_Sha256 falls back to on a CPU
+// without SHA-NI (on such a CPU the two rows measure the same code).
+void BM_Sha256Scalar(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sha256_internal::Access::digest(&sha256_internal::blocks_scalar, {data}));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Scalar)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_TarPackUnpack(benchmark::State& state) {
   vfs::Filesystem tree = workloads::build_context(lammps());

@@ -18,11 +18,15 @@
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair) plus the crash-resume
 # smoke bench — crash paths unwind through partially written state, exactly
-# where ASAN finds lifetime bugs.
+# where ASAN finds lifetime bugs. A fourth build under
+# UndefinedBehaviorSanitizer (any report is fatal) reruns the whole test
+# suite; it costs about what ASAN does and covers both SHA-256 compression
+# paths and every decoder, where shifts, casts and unaligned loads live.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   COMT_SKIP_TSAN=1   skip the ThreadSanitizer stage.
 #   COMT_SKIP_ASAN=1   skip the AddressSanitizer stage.
+#   COMT_SKIP_UBSAN=1  skip the UndefinedBehaviorSanitizer stage.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -98,6 +102,16 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
 
   echo "== asan bench smoke =="
   "$asan_dir/bench/crash_resume" --smoke
+fi
+
+if [ "${COMT_SKIP_UBSAN:-0}" != "1" ]; then
+  ubsan_dir="${build_dir}-ubsan"
+  echo "== ubsan build =="
+  cmake -B "$ubsan_dir" -S "$repo" -DCOMT_SANITIZE=undefined
+  cmake --build "$ubsan_dir" -j "$jobs"
+
+  echo "== ubsan test (full suite) =="
+  ctest --test-dir "$ubsan_dir" --output-on-failure -j "$jobs"
 fi
 
 echo "check.sh: all green"

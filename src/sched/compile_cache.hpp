@@ -9,12 +9,20 @@
 // recompiles. Entries store the produced output blobs, so a hit replays the
 // outputs without running the toolchain at all.
 //
+// Like ccache's direct-mode manifests, one key holds up to kEntriesPerKey
+// entries, each tried against its own input manifest. One command line can
+// legitimately read different inputs: the `ar rcs lib<app>core.a …` job of a
+// PGO rebuild has the same argv in the instrumented and the final pass but
+// archives different objects; with one entry per key, each pass would evict
+// the other's. A store into a full key evicts its least recently used entry.
+//
 // Concurrency model (RCU-style): the entry map is an immutable snapshot,
 // republished as a whole by every mutation. Each reader thread caches the
 // snapshot it last saw together with the cache's version stamp; lookup() —
 // the hot path, hit every compile job of a warm rebuild — validates the
-// cached snapshot with one atomic version load and proceeds with no lock
-// and no shared-memory write. Only when the version moved (someone stored)
+// cached snapshot with one atomic version load and proceeds with no lock;
+// a hit writes only relaxed atomics (counters and the entry's recency
+// stamp). Only when the version moved (someone stored)
 // does the reader take the writer mutex for one brief snapshot refresh.
 // Mutations (store, attach) copy-update-republish under the mutex; readers
 // holding an old snapshot keep it alive. (An atomic shared_ptr would be the
@@ -23,12 +31,14 @@
 // See docs/PERFORMANCE.md for why the hit path must be lock-free.
 //
 // attach() bolts the cache onto a store::KvStore: every store() writes the
-// entry through under "cache/<key digest>" and attach itself hydrates the
-// entries the backing already holds, so a cache over a DiskStore directory
-// starts warm in the next process. A persisted entry whose checksum fails
-// deserialization is dropped (degrades to a miss, never to a wrong hit).
+// key's entry list through under "cache/<key digest>" and attach itself
+// hydrates the lists the backing already holds, so a cache over a DiskStore
+// directory starts warm in the next process. A persisted list whose checksum
+// or layout fails deserialization — including one in the older one-entry
+// layout — is dropped (degrades to a miss, never to a wrong hit).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -45,6 +55,9 @@ namespace comt::sched {
 
 /// Key prefix an attached CompileCache persists entries under.
 inline constexpr std::string_view kCacheKeyPrefix = "cache/";
+
+/// Entries one key keeps: one per pass of a two-pass (PGO) rebuild.
+inline constexpr std::size_t kEntriesPerKey = 2;
 
 /// Everything that identifies a compile computation, before inputs are read.
 struct CacheKey {
@@ -81,7 +94,7 @@ struct CacheStats {
   std::uint64_t misses = 0;          ///< absent key or stale manifest input
   std::uint64_t stores = 0;          ///< store() calls (inserts and replacements)
   std::uint64_t hydrated = 0;        ///< entries recovered from the backing store
-  std::uint64_t corrupt_dropped = 0; ///< persisted entries rejected at hydration
+  std::uint64_t corrupt_dropped = 0; ///< persisted keys rejected at hydration
   std::uint64_t remote_hits = 0;     ///< hits served via the backing-store fallback
 };
 
@@ -94,32 +107,36 @@ class CompileCache {
   /// empty string when the file can't be read.
   using DigestFn = std::function<std::string(const std::string& path)>;
 
-  /// Looks up `key_digest`. On a candidate entry, re-digests every manifest
-  /// input through `digest_of`; the entry only hits when all match. Returns
-  /// the entry on a hit, nullptr on a miss. Counts one hit or one miss.
+  /// Looks up `key_digest`. Tries the key's entries, most recently stored
+  /// first, re-digesting each one's manifest inputs through `digest_of`; an
+  /// entry only hits when all of them match. Returns the entry on a hit,
+  /// nullptr on a miss. Counts one hit or one miss.
   /// Steady-state lock-free: one atomic version load validates this thread's
   /// cached snapshot; the mutex is touched only right after a store changed
   /// the map. Concurrent store() calls are invisible to an in-flight lookup
   /// (it reads the snapshot it started with).
   ///
-  /// When attached, a local miss falls back to the backing store before
-  /// giving up: an intact persisted entry (stored by another replica sharing
-  /// the backing, or by a store() this process has not re-read) is adopted
-  /// into the local map and, manifest permitting, served as a hit —
+  /// When attached, a key absent locally falls back to the backing store
+  /// before giving up: an intact persisted list (stored by another replica
+  /// sharing the backing, or by a store() this process has not re-read) is
+  /// adopted into the local map and, manifest permitting, served as a hit —
   /// counted separately as CacheStats::remote_hits. This is what makes one
   /// replica's compile warm every other replica in a fleet without
   /// re-attaching.
   std::shared_ptr<const CacheEntry> lookup(const std::string& key_digest,
                                            const DigestFn& digest_of) const;
 
-  /// Stores (or replaces) the entry for `key_digest`. Counts one store.
-  /// When attached, the entry also writes through to the backing store.
+  /// Stores `entry` under `key_digest` as the key's most recent entry. It
+  /// replaces an entry with the same input manifest; otherwise, when the key
+  /// already holds kEntriesPerKey entries, the least recently used one (by
+  /// store or hit) is evicted. Counts one store. When attached, the key's
+  /// entry list also writes through to the backing store.
   /// Takes the writer mutex; safe against concurrent lookups and stores.
   void store(const std::string& key_digest, CacheEntry entry);
 
   /// Backs the cache with `backing` under `prefix`: hydrates every intact
   /// persisted entry (counting CacheStats::hydrated), erases and counts
-  /// corrupt ones (CacheStats::corrupt_dropped), and writes every future
+  /// corrupt keys (CacheStats::corrupt_dropped), and writes every future
   /// store() through. Call before sharing the cache. Returns the number of
   /// entries hydrated. Passing nullptr detaches.
   std::size_t attach(std::shared_ptr<store::KvStore> backing,
@@ -136,11 +153,20 @@ class CompileCache {
   /// Point-in-time counter snapshot (atomic reads, no lock).
   CacheStats stats() const;
 
-  /// Entries currently published.
+  /// Entries currently published, over all keys.
   std::size_t size() const;
 
  private:
-  using EntryMap = std::map<std::string, std::shared_ptr<const CacheEntry>>;
+  /// One stored computation and when it was last stored or hit. The stamp is
+  /// the only field that changes after publication: a hit bumps it with no
+  /// lock, and a store into a full key evicts the smallest.
+  struct Slot {
+    CacheEntry entry;
+    mutable std::atomic<std::uint64_t> last_used{0};
+  };
+  /// A key's entries, most recently stored first; unused slots are null.
+  using Bucket = std::array<std::shared_ptr<const Slot>, kEntriesPerKey>;
+  using EntryMap = std::map<std::string, Bucket>;
 
   static std::uint64_t next_instance_id();
 
@@ -149,10 +175,17 @@ class CompileCache {
   /// it moved. The returned map is immutable and refcounted.
   std::shared_ptr<const EntryMap> snapshot() const;
 
-  /// Backing-store fallback for a local miss: fetches, verifies, and adopts
-  /// the persisted entry under `key_digest`, or nullptr when the backing has
-  /// no intact copy. Called from (const) lookup, hence the mutable state.
-  std::shared_ptr<const CacheEntry> fetch_remote(const std::string& key_digest) const;
+  /// Backing-store fallback for a key absent locally: fetches, verifies, and
+  /// adopts the persisted list under `key_digest`, or an empty bucket when
+  /// the backing has no intact copy. Called from (const) lookup, hence the
+  /// mutable state.
+  Bucket fetch_remote(const std::string& key_digest) const;
+
+  /// Next recency stamp; strictly increasing.
+  std::uint64_t tick() const;
+
+  /// A bucket holding `entries` (most recent first), freshly stamped.
+  Bucket to_bucket(std::vector<CacheEntry> entries) const;
 
   // The current map, republished as a whole by every mutation under
   // `mutex_`; `version_` bumps on each publish so readers can validate
@@ -162,6 +195,7 @@ class CompileCache {
   mutable std::shared_ptr<const EntryMap> published_ =
       std::make_shared<const EntryMap>();     // guarded by mutex_
   mutable std::atomic<std::uint64_t> version_{1};
+  mutable std::atomic<std::uint64_t> clock_{0};  // recency stamps, see Slot
   const std::uint64_t instance_id_ = next_instance_id();  // never reused
   mutable std::mutex mutex_;  // serializes store/attach/backing writes
 

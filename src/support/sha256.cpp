@@ -1,6 +1,14 @@
 #include "support/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#include "support/sha256_internal.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace comt {
 namespace {
@@ -22,10 +30,143 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
   return (x >> n) | (x << (32 - n));
 }
 
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (std::uint32_t(block[4 * i]) << 24) |
+           (std::uint32_t(block[4 * i + 1]) << 16) |
+           (std::uint32_t(block[4 * i + 2]) << 8) |
+           std::uint32_t(block[4 * i + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+  for (int i = 0; i < 64; ++i) {
+    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+    std::uint32_t ch = (e & f) ^ (~e & g);
+    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    std::uint32_t temp2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + temp1;
+    d = c;
+    c = b;
+    b = a;
+    a = temp1 + temp2;
+  }
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// SHA-NI compression. The function-level target attribute enables the SHA
+// and SSE4.1/SSSE3 instructions here only, so the rest of the build keeps its
+// baseline ISA; blocks_accelerated() hands this out only after CPUID confirms
+// the CPU has them. The instructions keep the state as two halves, ABEF and
+// CDGH, and each _mm_sha256rnds2_epu32 runs two rounds.
+__attribute__((target("sha,sse4.1,ssse3")))
+void blocks_sha_ni(std::uint32_t* state, const std::uint8_t* data, std::size_t count) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  for (; count != 0; --count, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g & 3] holds message words 4g..4g+3; each group from g = 4 on is
+    // computed from the four before it, overwriting the oldest.
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)), byte_swap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        __m128i next = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        next = _mm_add_epi32(next, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        w[g & 3] = _mm_sha256msg2_epu32(next, w[(g + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRoundConstants.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+#endif
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+namespace sha256_internal {
+
+void blocks_scalar(std::uint32_t* state, const std::uint8_t* data, std::size_t count) {
+  for (; count != 0; --count, data += 64) process_block(state, data);
+}
+
+BlockFn blocks_accelerated() {
+#if defined(__x86_64__)
+  if (cpu_has_sha_ni()) return &blocks_sha_ni;
+#endif
+  return nullptr;
+}
+
+BlockFn blocks_dispatched() {
+  // A function-local static: initialized on first use, thread-safe, and
+  // valid even when a static constructor hashes before main.
+  static const BlockFn chosen = [] {
+    BlockFn accelerated = blocks_accelerated();
+    return accelerated != nullptr ? accelerated : &blocks_scalar;
+  }();
+  return chosen;
+}
+
+std::array<std::uint8_t, 32> Access::digest(BlockFn blocks,
+                                             const std::vector<std::string_view>& parts) {
+  Sha256 hasher(blocks);
+  for (std::string_view part : parts) hasher.update(part);
+  return hasher.finish();
+}
+
+}  // namespace sha256_internal
+
+Sha256::Sha256() : Sha256(sha256_internal::blocks_dispatched()) {}
+
+Sha256::Sha256(BlockFn blocks)
+    : blocks_(blocks),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(std::string_view data) { update(data.data(), data.size()); }
@@ -41,14 +182,15 @@ void Sha256::update(const void* data, std::size_t size) {
     bytes += take;
     size -= take;
     if (buffered_ == buffer_.size()) {
-      process_block(buffer_.data());
+      blocks_(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (size >= 64) {
-    process_block(bytes);
-    bytes += 64;
-    size -= 64;
+  // Every whole block in one call, straight from the caller's bytes.
+  if (const std::size_t whole = size / 64; whole != 0) {
+    blocks_(state_.data(), bytes, whole);
+    bytes += whole * 64;
+    size -= whole * 64;
   }
   if (size != 0) {
     std::memcpy(buffer_.data(), bytes, size);
@@ -76,48 +218,6 @@ std::array<std::uint8_t, 32> Sha256::finish() {
     digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
   }
   return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 std::string Sha256::hex_digest(std::string_view data) {

@@ -12,12 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "core/adapters.hpp"
 #include "core/backend.hpp"
 #include "core/cache.hpp"
 #include "sched/compile_cache.hpp"
 #include "sched/dag.hpp"
 #include "sched/thread_pool.hpp"
 #include "store/store.hpp"
+#include "store/wire.hpp"
 #include "support/sha256.hpp"
 #include "sysmodel/sysmodel.hpp"
 #include "workloads/harness.hpp"
@@ -372,31 +374,134 @@ TEST(CompileCacheTest, CorruptPersistedEntryDegradesToMissNeverAWrongHit) {
   EXPECT_FALSE(backing->contains(persisted_key));
 }
 
+TEST(CompileCacheTest, OneKeyKeepsAnEntryPerInputSetAndEvictsTheLeastRecentlyUsed) {
+  // One command line, three input sets — like the `ar` job that archives
+  // different objects in each pass of a PGO rebuild.
+  sched::CompileCache cache;
+  std::string input;
+  auto digest_of = [&input](const std::string&) { return input; };
+  auto entry_for = [](const std::string& digest) {
+    sched::CacheEntry entry;
+    entry.input_digests["/src/lib.a.in"] = digest;
+    entry.outputs.push_back({"/src/lib.a", "archive of " + digest, 0644});
+    return entry;
+  };
+  auto hit_content = [&](const std::string& digest) -> std::string {
+    input = digest;
+    auto hit = cache.lookup("ar", digest_of);
+    return hit == nullptr ? "miss" : hit->outputs[0].content;
+  };
+
+  cache.store("ar", entry_for("pass1"));
+  cache.store("ar", entry_for("pass2"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(hit_content("pass1"), "archive of pass1");
+  EXPECT_EQ(hit_content("pass2"), "archive of pass2");
+  // pass1 was stored first but is now the most recently used.
+  EXPECT_EQ(hit_content("pass1"), "archive of pass1");
+
+  // A third input set evicts the least recently used entry: pass2.
+  cache.store("ar", entry_for("third"));
+  EXPECT_EQ(cache.size(), sched::kEntriesPerKey);
+  EXPECT_EQ(hit_content("third"), "archive of third");
+  EXPECT_EQ(hit_content("pass1"), "archive of pass1");
+  EXPECT_EQ(hit_content("pass2"), "miss");
+
+  // Re-storing an input set replaces its entry instead of taking a slot.
+  cache.store("ar", entry_for("third"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(hit_content("pass1"), "archive of pass1");
+  EXPECT_EQ(cache.stats().stores, 4u);
+}
+
+TEST(CompileCacheTest, EveryEntryOfAKeyPersistsAndHydrates) {
+  auto backing = std::make_shared<store::MemStore>();
+  sched::CompileCache replica;
+  replica.attach(backing);  // attached while the backing is still empty
+  {
+    sched::CompileCache cache;
+    cache.attach(backing);
+    for (const char* digest : {"pass1", "pass2"}) {
+      sched::CacheEntry entry;
+      entry.input_digests["/in"] = digest;
+      entry.outputs.push_back({"/out", std::string("bytes of ") + digest, 0644});
+      cache.store("ar", std::move(entry));
+    }
+  }
+  sched::CompileCache warm;
+  EXPECT_EQ(warm.attach(backing), 2u);
+  EXPECT_EQ(warm.stats().hydrated, 2u);
+  for (const std::string digest : {"pass1", "pass2"}) {
+    auto hit = warm.lookup("ar", [&digest](const std::string&) { return digest; });
+    ASSERT_NE(hit, nullptr) << digest;
+    EXPECT_EQ(hit->outputs[0].content, "bytes of " + digest);
+  }
+  // The replica meets the list only through the lookup-time fallback, and
+  // adopts both entries from it.
+  EXPECT_NE(replica.lookup("ar", [](const std::string&) { return std::string("pass2"); }),
+            nullptr);
+  EXPECT_EQ(replica.stats().remote_hits, 1u);
+  EXPECT_NE(replica.lookup("ar", [](const std::string&) { return std::string("pass1"); }),
+            nullptr);
+  EXPECT_EQ(replica.size(), 2u);
+}
+
+TEST(CompileCacheTest, OneEntryLayoutFromBeforeEntryListsReadsAsAMiss) {
+  // The layout a cache wrote before keys held entry lists: [u32 n_inputs]
+  // (path, digest)… [u32 n_outputs] (path, content, mode)… + sha256 hex.
+  namespace wire = store::wire;
+  std::string old_layout;
+  wire::put_u32(old_layout, 1);
+  wire::put_str(old_layout, "/in");
+  wire::put_str(old_layout, "d");
+  wire::put_u32(old_layout, 1);
+  wire::put_str(old_layout, "/out");
+  wire::put_str(old_layout, "bytes");
+  wire::put_u32(old_layout, 0644);
+  old_layout += Sha256::hex_digest(old_layout);
+  auto backing = std::make_shared<store::MemStore>();
+  const std::string persisted_key = std::string(sched::kCacheKeyPrefix) + "key1";
+  ASSERT_TRUE(backing->put(persisted_key, old_layout).ok());
+
+  auto digest_of = [](const std::string&) { return std::string("d"); };
+  sched::CompileCache cache;
+  EXPECT_EQ(cache.attach(backing), 0u);  // hydration drops it...
+  EXPECT_EQ(cache.stats().corrupt_dropped, 1u);
+  EXPECT_FALSE(backing->contains(persisted_key));
+  EXPECT_EQ(cache.lookup("key1", digest_of), nullptr);
+
+  // ...and the lookup-time fallback does not adopt one written later.
+  ASSERT_TRUE(backing->put(persisted_key, old_layout).ok());
+  EXPECT_EQ(cache.lookup("key1", digest_of), nullptr);
+  EXPECT_EQ(cache.stats().remote_hits, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
 // ---- end-to-end: parallel rebuild ---------------------------------------------
 
-// Builds the comd application through the hijacking builder and extends it,
-// returning the layout with "comd.dist+coM" installed.
-oci::Layout build_extended_world(const sysmodel::SystemProfile& system) {
+// Builds `app_name` (comd by default) through the hijacking builder and
+// extends it, returning the layout with "<app>.dist+coM" installed.
+oci::Layout build_extended_world(const sysmodel::SystemProfile& system,
+                                 const std::string& app_name = "comd") {
   oci::Layout layout;
   EXPECT_TRUE(workloads::install_user_images(layout, system.arch).ok());
   EXPECT_TRUE(workloads::install_system_images(layout, system).ok());
-  const workloads::AppSpec* app = workloads::find_app("comd");
+  const workloads::AppSpec* app = workloads::find_app(app_name);
   EXPECT_NE(app, nullptr);
   auto file = dockerfile::parse(workloads::dockerfile_text(*app, system.arch, true));
   EXPECT_TRUE(file.ok());
+  const std::string tag = app_name + ".dist";
   buildexec::ImageBuilder builder(layout);
   builder.set_apt_source(&workloads::ubuntu_repo(system.arch));
   buildexec::BuildRecord record;
-  EXPECT_TRUE(builder
-                  .build(file.value(), workloads::build_context(*app), "comd.dist", "",
-                         &record)
+  EXPECT_TRUE(builder.build(file.value(), workloads::build_context(*app), tag, "", &record)
                   .ok());
-  auto stage = layout.find_image("comd.dist.stage0");
+  auto stage = layout.find_image(tag + ".stage0");
   EXPECT_TRUE(stage.ok());
   auto build_rootfs = layout.flatten(stage.value());
   EXPECT_TRUE(build_rootfs.ok());
-  EXPECT_TRUE(core::comtainer_build(layout, "comd.dist", workloads::base_tag(system.arch),
-                                    record, build_rootfs.value())
+  EXPECT_TRUE(core::comtainer_build(layout, tag, workloads::base_tag(system.arch), record,
+                                    build_rootfs.value())
                   .ok());
   return layout;
 }
@@ -462,6 +567,35 @@ TEST(ParallelRebuildTest, SecondRebuildIsAllCacheHits) {
   EXPECT_EQ(second.value().cache_hits, first.value().cache_misses);
   EXPECT_EQ(first.value().image.manifest_digest.value,
             second.value().image.manifest_digest.value);
+}
+
+TEST(ParallelRebuildTest, PgoRebuildsOfAnArchivingAppStayWarm) {
+  // lammps archives its objects with `ar rcs liblammpscore.a …`: one cache
+  // key in both PGO passes, different members in each. Both passes' entries
+  // must survive, so only the first rebuild compiles anything.
+  const sysmodel::SystemProfile& system = sysmodel::SystemProfile::x86_cluster();
+  oci::Layout layout = build_extended_world(system, "lammps");
+  const workloads::AppSpec* app = workloads::find_app("lammps");
+  ASSERT_NE(app, nullptr);
+  auto owned = core::optimized_scheme();
+  sched::CompileCache cache;
+  core::RebuildOptions options = rebuild_options(system);
+  for (const auto& adapter : owned) options.adapters.push_back(adapter.get());
+  options.profile_run = app->inputs.front().run_request(1);
+  options.compile_cache = &cache;
+
+  std::vector<std::size_t> misses;
+  std::string digest;
+  for (int round = 0; round < 3; ++round) {
+    auto report = core::comtainer_rebuild(layout, "lammps.dist+coM", options);
+    ASSERT_TRUE(report.ok()) << report.error().to_string();
+    EXPECT_TRUE(report.value().profile_feedback);
+    EXPECT_EQ(report.value().cache_hits + report.value().cache_misses, report.value().jobs);
+    misses.push_back(report.value().cache_misses);
+    if (round == 0) digest = report.value().image.manifest_digest.value;
+    EXPECT_EQ(report.value().image.manifest_digest.value, digest) << round;
+  }
+  EXPECT_EQ(misses, (std::vector<std::size_t>{16, 0, 0}));
 }
 
 TEST(ParallelRedirectTest, ThreadedRedirectMatchesSequential) {

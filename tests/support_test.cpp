@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/sha256.hpp"
+#include "support/sha256_internal.hpp"
 #include "support/strings.hpp"
 
 namespace comt {
@@ -110,6 +112,132 @@ TEST(Sha256Test, BlockBoundaryLengths) {
 
 TEST(Sha256Test, DifferentInputsDiffer) {
   EXPECT_NE(Sha256::hex_digest("a"), Sha256::hex_digest("b"));
+}
+
+// ---- SHA-256 compression paths ------------------------------------------------
+// Every digest must be the same whichever compressor Sha256 runs on. These
+// cases drive the scalar reference and the SHA-NI path directly; the
+// accelerated leg is skipped on a CPU (or a build) without SHA-NI.
+
+using sha256_internal::BlockFn;
+
+std::string digest_hex(BlockFn blocks, const std::vector<std::string_view>& parts) {
+  auto digest = sha256_internal::Access::digest(blocks, parts);
+  return to_hex(digest.data(), digest.size());
+}
+
+struct Sha256Path {
+  const char* name;
+  BlockFn blocks;  // nullptr when unavailable here
+};
+
+class Sha256PathTest : public ::testing::TestWithParam<Sha256Path> {
+ protected:
+  void SetUp() override {
+    if (GetParam().blocks == nullptr) GTEST_SKIP() << "no SHA-NI on this CPU";
+  }
+  std::string hex(const std::vector<std::string_view>& parts) const {
+    return digest_hex(GetParam().blocks, parts);
+  }
+};
+
+TEST_P(Sha256PathTest, Fips180KnownAnswers) {
+  EXPECT_EQ(hex({""}), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(hex({"abc"}), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(hex({"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"}),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(hex({"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                 "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"}),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  const std::string million(1000000, 'a');
+  EXPECT_EQ(hex({million}),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  // The same million bytes in 1000-byte updates, none block-aligned.
+  const std::vector<std::string_view> pieces(1000, std::string_view(million).substr(0, 1000));
+  EXPECT_EQ(hex(pieces), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256PathTest, ManyBlocksInOneCallEqualOneCallPerBlock) {
+  std::mt19937 rng(7);
+  std::string data(64 * 9 + 3, '\0');
+  for (char& c : data) c = static_cast<char>(rng());
+  for (std::size_t offset : {0u, 1u, 3u}) {  // unaligned starts too
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(data.data()) + offset;
+    std::uint32_t together[8], one_by_one[8];
+    for (int i = 0; i < 8; ++i) together[i] = one_by_one[i] = static_cast<std::uint32_t>(rng());
+    GetParam().blocks(together, bytes, 9);
+    for (int block = 0; block < 9; ++block) GetParam().blocks(one_by_one, bytes + 64 * block, 1);
+    for (int i = 0; i < 8; ++i) EXPECT_EQ(together[i], one_by_one[i]) << offset << " " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, Sha256PathTest,
+    ::testing::Values(Sha256Path{"scalar", &sha256_internal::blocks_scalar},
+                      Sha256Path{"accelerated", sha256_internal::blocks_accelerated()}),
+    [](const ::testing::TestParamInfo<Sha256Path>& info) {
+      return std::string(info.param.name);
+    });
+
+class Sha256DifferentialTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    accelerated_ = sha256_internal::blocks_accelerated();
+    if (accelerated_ == nullptr) GTEST_SKIP() << "no SHA-NI on this CPU";
+  }
+  // Both paths over the same parts; also checks the default hasher, which
+  // runs on whichever path the process dispatched to.
+  void expect_agree(const std::vector<std::string_view>& parts, const std::string& what) {
+    const std::string scalar = digest_hex(&sha256_internal::blocks_scalar, parts);
+    EXPECT_EQ(digest_hex(accelerated_, parts), scalar) << what;
+    Sha256 hasher;
+    for (std::string_view part : parts) hasher.update(part);
+    auto digest = hasher.finish();
+    EXPECT_EQ(to_hex(digest.data(), digest.size()), scalar) << what;
+  }
+  BlockFn accelerated_ = nullptr;
+};
+
+TEST_F(Sha256DifferentialTest, DispatchPicksTheAcceleratedPath) {
+  EXPECT_EQ(sha256_internal::blocks_dispatched(), accelerated_);
+}
+
+TEST_F(Sha256DifferentialTest, RandomLengthsAndSplitsAgree) {
+  std::mt19937 rng(20261019);
+  std::string buffer(4096 + 16, '\0');
+  for (int round = 0; round < 500; ++round) {
+    for (char& c : buffer) c = static_cast<char>(rng());
+    const std::size_t length = rng() % 4097;
+    const std::size_t offset = rng() % 16;  // unaligned start pointers
+    const std::string_view message(buffer.data() + offset, length);
+    std::vector<std::string_view> parts;
+    for (std::size_t at = 0; at < length;) {
+      const std::size_t take = std::min<std::size_t>(length - at, rng() % 300);
+      parts.push_back(message.substr(at, take));  // empty updates included
+      at += take;
+    }
+    expect_agree(parts, "length " + std::to_string(length) + " offset " +
+                            std::to_string(offset) + " parts " + std::to_string(parts.size()));
+    expect_agree({message}, "one-shot length " + std::to_string(length));
+  }
+}
+
+TEST_F(Sha256DifferentialTest, BlockBoundaryLengthsAgree) {
+  std::mt19937 rng(55);
+  for (std::size_t n : {55u, 56u, 63u, 64u, 65u, 119u, 120u}) {
+    std::string data(n + 1, '\0');
+    for (char& c : data) c = static_cast<char>(rng());
+    const std::string_view aligned(data.data(), n);
+    const std::string_view unaligned(data.data() + 1, n);
+    expect_agree({aligned}, "n " + std::to_string(n));
+    expect_agree({unaligned}, "unaligned n " + std::to_string(n));
+    // Split right at each padding edge as well.
+    for (std::size_t cut : {1u, 55u, 56u, 63u, 64u}) {
+      if (cut > n) continue;
+      expect_agree({aligned.substr(0, cut), aligned.substr(cut)},
+                   "n " + std::to_string(n) + " cut " + std::to_string(cut));
+    }
+  }
 }
 
 // ---- strings ------------------------------------------------------------------
