@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 #include "store/wire.hpp"
 #include "support/sha256.hpp"
@@ -170,13 +171,21 @@ std::shared_ptr<const CacheEntry> CompileCache::lookup(const std::string& key_di
     from_remote = bucket[0] != nullptr;
   }
   // Verify each candidate's input manifest — digest_of may do real work,
-  // all lock-free.
+  // all lock-free. A key's entries mostly list the same inputs, so with more
+  // than one entry each path is digested once per lookup.
+  std::unordered_map<std::string, std::string> digested;
+  auto current_digest = [&](const std::string& path) -> std::string {
+    if (bucket[1] == nullptr) return digest_of(path);
+    auto [it, inserted] = digested.try_emplace(path);
+    if (inserted) it->second = digest_of(path);
+    return it->second;
+  };
   std::shared_ptr<const Slot> hit;
   for (const std::shared_ptr<const Slot>& slot : bucket) {
     if (slot == nullptr) break;
     bool matches = true;
     for (const auto& [path, digest] : slot->entry.input_digests) {
-      if (digest_of(path) != digest) {
+      if (current_digest(path) != digest) {
         matches = false;
         break;
       }
