@@ -414,6 +414,26 @@ TEST(CompileCacheTest, OneKeyKeepsAnEntryPerInputSetAndEvictsTheLeastRecentlyUse
   EXPECT_EQ(cache.stats().stores, 4u);
 }
 
+TEST(CompileCacheTest, LookupDigestsEachInputOnceAcrossAKeysEntries) {
+  // Both entries list the same inputs and both are stale: verifying them
+  // must not digest the shared inputs twice.
+  sched::CompileCache cache;
+  for (const char* version : {"v1", "v2"}) {
+    sched::CacheEntry entry;
+    entry.input_digests["/src/a.o"] = "a";
+    entry.input_digests["/src/b.o"] = version;
+    entry.outputs.push_back({"/src/app", version, 0755});
+    cache.store("link", std::move(entry));
+  }
+  std::map<std::string, int> calls;
+  auto digest_of = [&calls](const std::string& path) {
+    ++calls[path];
+    return path == "/src/a.o" ? std::string("a") : std::string("v3");
+  };
+  EXPECT_EQ(cache.lookup("link", digest_of), nullptr);
+  EXPECT_EQ(calls, (std::map<std::string, int>{{"/src/a.o", 1}, {"/src/b.o", 1}}));
+}
+
 TEST(CompileCacheTest, EveryEntryOfAKeyPersistsAndHydrates) {
   auto backing = std::make_shared<store::MemStore>();
   sched::CompileCache replica;
