@@ -82,6 +82,11 @@ struct GenCase {
   KernelTrait kernel;
 };
 
+// Without this gtest prints a case as raw bytes, address of `name` included,
+// and that lands in the test names ctest discovers, so they change from one
+// build to the next.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.name; }
+
 KernelTrait make_kernel(std::string name, double vec, double mem, double lib_frac,
                         double pgo) {
   KernelTrait kernel;
