@@ -13,7 +13,8 @@
 # tickets, circuit-breaker recovery, and autoscaler convergence. A second build
 # under ThreadSanitizer reruns the concurrency layer
 # (scheduler — including the SchedStress lock-free deque/cache/epoch tests —
-# registry, rebuild service, obs tracing/metrics) and the
+# registry, rebuild service, obs tracing/metrics, the flatten memo that
+# copies of an OCI layout share) and the
 # service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair) plus the crash-resume
@@ -81,7 +82,7 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
 
   echo "== tsan test (concurrency layer) =="
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$jobs" \
-        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer'
+        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|LayoutTest'
 
   echo "== tsan bench smoke =="
   "$tsan_dir/bench/service_throughput" --smoke

@@ -50,7 +50,10 @@ std::string ProfileReport::to_string() const {
 }
 
 ProfileReport profile_phases(const Tracer& tracer, SpanId root) {
-  const std::vector<SpanRecord> spans = tracer.snapshot();
+  // A descendant's id is larger than its root's, so spans recorded before
+  // the root are never copied: a traced rebuild's profile costs its own
+  // spans, not every span the tracer has seen.
+  const std::vector<SpanRecord> spans = tracer.snapshot(root);
   ProfileReport report;
 
   // Restrict to the root's descendants when a root is given. Parent links

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
 
 namespace comt::obs {
@@ -80,13 +81,14 @@ void Tracer::record(SpanRecord record) {
   buffer.records.push_back(std::move(record));
 }
 
-std::vector<SpanRecord> Tracer::snapshot() const {
+std::vector<SpanRecord> Tracer::snapshot(SpanId first_id) const {
   std::vector<SpanRecord> out;
   {
     std::lock_guard<std::mutex> registry_lock(registry_mutex_);
     for (const auto& buffer : buffers_) {
       std::lock_guard<std::mutex> lock(buffer->mutex);
-      out.insert(out.end(), buffer->records.begin(), buffer->records.end());
+      std::copy_if(buffer->records.begin(), buffer->records.end(), std::back_inserter(out),
+                   [first_id](const SpanRecord& span) { return span.id >= first_id; });
     }
   }
   std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {

@@ -92,9 +92,11 @@ class Tracer {
   Span span(std::string_view name, SpanId parent = kNoSpan,
             std::string_view category = "");
 
-  /// All completed spans, sorted by (start time, id). Concurrent emitters may
-  /// add more spans after the snapshot returns.
-  std::vector<SpanRecord> snapshot() const;
+  /// Completed spans with `id >= first_id` (all of them by default), sorted
+  /// by (start time, id). Ids grow in span-open order, so every descendant
+  /// of a span has a larger id: snapshot(root) holds the root's whole
+  /// subtree. Concurrent emitters may add more spans after it returns.
+  std::vector<SpanRecord> snapshot(SpanId first_id = kNoSpan) const;
 
   std::size_t span_count() const;
 

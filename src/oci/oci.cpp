@@ -1,5 +1,8 @@
 #include "oci/oci.hpp"
 
+#include <algorithm>
+#include <mutex>
+
 #include "support/sha256.hpp"
 #include "tar/tar.hpp"
 
@@ -168,13 +171,52 @@ Result<Manifest> Manifest::from_json(const json::Value& value) {
   return out;
 }
 
-Layout::Layout() : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)) {}
+/// Bottom-layer digest -> the immutable tree that layer flattens to, most
+/// recently used first. Published vfs nodes are never edited, so a memoized
+/// tree can be handed to any number of flattens at once.
+class Layout::FlattenMemo {
+ public:
+  std::shared_ptr<const vfs::Filesystem> find(const Digest& bottom) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = position(bottom);
+    if (it == entries_.end()) return nullptr;
+    std::rotate(entries_.begin(), it, it + 1);
+    return entries_.front().second;
+  }
+
+  void insert(const Digest& bottom, const vfs::Filesystem& tree) {
+    auto shared = std::make_shared<const vfs::Filesystem>(tree);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (position(bottom) != entries_.end()) return;  // a concurrent flatten got here first
+    entries_.insert(entries_.begin(), Entry(bottom, std::move(shared)));
+    if (entries_.size() > kCapacity) entries_.pop_back();
+  }
+
+ private:
+  // More distinct base layers than any one layout family flattens in turn.
+  static constexpr std::size_t kCapacity = 16;
+  using Entry = std::pair<Digest, std::shared_ptr<const vfs::Filesystem>>;
+
+  std::vector<Entry>::iterator position(const Digest& bottom) {
+    return std::find_if(entries_.begin(), entries_.end(),
+                        [&bottom](const Entry& entry) { return entry.first == bottom; });
+  }
+
+  std::mutex mutex_;
+  std::vector<Entry> entries_;
+};
+
+Layout::Layout()
+    : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)),
+      memo_(std::make_shared<FlattenMemo>()) {}
 
 Layout::Layout(const Layout& other)
     : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)),
       index_(other.index_),
       pins_(other.pins_),
-      faults_(other.faults_) {
+      faults_(other.faults_),
+      intact_(other.intact_),
+      memo_(other.memo_) {
   copy_blobs_from(other);
 }
 
@@ -185,6 +227,8 @@ Layout& Layout::operator=(const Layout& other) {
   pins_ = other.pins_;
   faults_ = other.faults_;
   durable_index_ = false;
+  intact_ = other.intact_;
+  memo_ = other.memo_;
   copy_blobs_from(other);
   return *this;
 }
@@ -238,6 +282,7 @@ Status Layout::attach(std::shared_ptr<store::KvStore> backend) {
   blobs_ = std::move(fresh);
   index_ = std::move(merged);
   durable_index_ = true;
+  intact_.clear();
   return persist_index();
 }
 
@@ -257,6 +302,7 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
     if (auto torn = faults_->check_torn(kBlobPutSite, blob.size()); torn.has_value()) {
       // The medium persisted a prefix under the full content's digest — the
       // classic torn blob fsck must find — and the process dies here.
+      intact_.erase(descriptor.digest);
       COMT_ASSERT(blobs_.put_at(descriptor.digest.value, blob.substr(0, *torn)).ok(),
                   "layout: torn blob write failed");
       throw support::CrashInjected{std::string(kBlobPutSite)};
@@ -267,11 +313,13 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
   // an earlier torn write left truncated under this digest.
   COMT_ASSERT(blobs_.put_at(descriptor.digest.value, std::move(blob)).ok(),
               "layout: blob store put failed");
+  if (!durable_index_) intact_.insert(descriptor.digest);
   return descriptor;
 }
 
 void Layout::set_blob_bytes(const Digest& digest, std::string bytes) {
   COMT_ASSERT(has_blob(digest), ("set_blob_bytes: no such blob: " + digest.value).c_str());
+  intact_.erase(digest);
   COMT_ASSERT(blobs_.put_at(digest.value, std::move(bytes)).ok(),
               "set_blob_bytes: blob store put failed");
 }
@@ -297,6 +345,7 @@ std::vector<Digest> Layout::blob_digests() const {
 
 std::uint64_t Layout::remove_blob(const Digest& digest) {
   if (is_pinned(digest)) return 0;
+  intact_.erase(digest);
   return blobs_.erase(digest.value);
 }
 
@@ -384,10 +433,14 @@ Result<Image> Layout::load_image(const Digest& manifest_digest) const {
 }
 
 Result<vfs::Filesystem> Layout::flatten(const Image& image) const {
-  vfs::Filesystem root;
-  for (const Descriptor& layer : image.manifest.layers) {
-    COMT_TRY(vfs::Filesystem tree, read_layer(layer));
+  const std::vector<Descriptor>& layers = image.manifest.layers;
+  const bool memoizable = !layers.empty() && intact_.contains(layers.front().digest);
+  auto memoized = memoizable ? memo_->find(layers.front().digest) : nullptr;
+  vfs::Filesystem root = memoized ? *memoized : vfs::Filesystem();
+  for (std::size_t i = memoized ? 1 : 0; i < layers.size(); ++i) {
+    COMT_TRY(vfs::Filesystem tree, read_layer(layers[i]));
     COMT_TRY_STATUS(vfs::apply_layer(root, tree));
+    if (i == 0 && memoizable) memo_->insert(layers.front().digest, root);
   }
   return root;
 }

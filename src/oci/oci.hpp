@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,7 +119,8 @@ class Layout {
   /// Copies are always private in-memory snapshots: blob bytes and index are
   /// deep-copied into a fresh MemStore even when the source is attached to a
   /// disk backend. This is what lets every service job work on its own copy
-  /// of a shared base layout.
+  /// of a shared base layout. A copy shares the source's flatten memo (see
+  /// flatten()).
   Layout(const Layout& other);
   Layout& operator=(const Layout& other);
   Layout(Layout&&) = default;
@@ -134,7 +136,8 @@ class Layout {
 
   /// Stores a blob and returns its descriptor. Re-putting a digest replaces
   /// the stored bytes, so writing the true content heals a previously torn
-  /// blob under the same digest.
+  /// blob under the same digest. Until attach(), the blob joins the intact
+  /// set flatten() may serve from its memo.
   Descriptor put_blob(std::string blob, std::string_view media_type);
 
   /// Attaches torn-write injection to put_blob: when an armed schedule fires
@@ -200,6 +203,14 @@ class Layout {
 
   /// Applies all layers of `image` in order over an empty root — the final
   /// container filesystem (the "POSIX file system simulator" of §4.5).
+  ///
+  /// The tree the bottom layer flattens to is memoized by its digest in a
+  /// small LRU shared by this layout and all its copies (thread-safe), so a
+  /// base image is unpacked once rather than on every flatten. The memo is
+  /// read and filled only for a bottom blob in the intact set: one this
+  /// layout hashed in its own put_blob and has not overwritten, torn or
+  /// removed since. Any other blob is unpacked as stored, so a damaged blob
+  /// fails (or flattens damaged) exactly as without the memo.
   Result<vfs::Filesystem> flatten(const Image& image) const;
 
   /// Packs `tree` as a tar layer blob and returns its layer descriptor.
@@ -227,6 +238,8 @@ class Layout {
   Status fsck() const;
 
  private:
+  class FlattenMemo;
+
   void copy_blobs_from(const Layout& other);
   json::Value index_json_impl(bool lenient) const;
   /// Writes "oci-layout" + "index.json" through the backend when attached.
@@ -238,6 +251,10 @@ class Layout {
   std::map<Digest, int> pins_;  // digest -> pin refcount (GC exclusion set)
   support::FaultInjector* faults_ = nullptr;
   bool durable_index_ = false;  ///< attach() ran: index mutations write through
+  // Digests whose stored bytes put_blob hashed into this layout's private
+  // MemStore. Empty once attached: a shared backend can change underneath.
+  std::set<Digest> intact_;
+  std::shared_ptr<FlattenMemo> memo_;  // shared with every copy
 };
 
 }  // namespace comt::oci

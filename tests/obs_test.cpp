@@ -291,6 +291,48 @@ TEST(ObsProfileTest, PhasesAggregateOnlyUnderTheRoot) {
   EXPECT_NE(report.to_string().find("compile"), std::string::npos);
 }
 
+TEST(ObsProfileTest, EarlierUnrelatedSpansDoNotChangeARootsProfile) {
+  // The same rebuild-shaped subtree, traced alone and after 10k unrelated
+  // spans (one of which stays open across the root), must profile alike.
+  auto profile_subtree = [](obs::Tracer& tracer) {
+    obs::Span root = tracer.span("rebuild", obs::kNoSpan, "rebuild");
+    const obs::SpanId root_id = root.id();
+    { obs::Span span = tracer.span("resolve", root_id, "resolve"); }
+    obs::Span pass = tracer.span("pass:p0", root_id, "sched");
+    for (int i = 0; i < 3; ++i) {
+      obs::Span span = tracer.span("job", pass.id(), "compile");
+    }
+    pass.end();
+    { obs::Span span = tracer.span("layer-commit", root_id, "layer-commit"); }
+    root.end();
+    return obs::profile_phases(tracer, root_id);
+  };
+  auto shape = [](const obs::ProfileReport& report) {
+    std::vector<std::pair<std::string, std::size_t>> out;
+    for (const obs::PhaseTime& phase : report.phases) out.emplace_back(phase.phase, phase.spans);
+    return out;
+  };
+
+  obs::Tracer quiet;
+  obs::ProfileReport alone = profile_subtree(quiet);
+
+  obs::Tracer busy;
+  obs::Span open_across = busy.span("unrelated-open", obs::kNoSpan, "compile");
+  for (int i = 0; i < 10000; ++i) {
+    obs::Span span = busy.span("unrelated", i % 2 == 0 ? obs::kNoSpan : open_across.id(),
+                               i % 3 == 0 ? "compile" : "resolve");
+  }
+  obs::ProfileReport crowded = profile_subtree(busy);
+  open_across.end();
+
+  EXPECT_EQ(crowded.root, "rebuild");
+  EXPECT_EQ(crowded.root, alone.root);
+  EXPECT_EQ(shape(crowded), shape(alone));
+  const std::vector<std::pair<std::string, std::size_t>> expected = {
+      {"resolve", 1}, {"compile", 3}, {"layer-commit", 1}, {"sched", 1}};
+  EXPECT_EQ(shape(alone), expected);
+}
+
 // ---- End-to-end: a traced rebuild -------------------------------------------
 
 oci::Layout build_extended_world(const sysmodel::SystemProfile& system) {

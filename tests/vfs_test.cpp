@@ -220,6 +220,11 @@ struct TreePair {
   Filesystem (*target)();
 };
 
+// Without this gtest prints a pair as raw bytes, pointers included, and that
+// lands in the test names ctest discovers, so they change from one build to
+// the next.
+void PrintTo(const TreePair& pair, std::ostream* os) { *os << pair.name; }
+
 Filesystem empty_tree() { return Filesystem(); }
 Filesystem deep_tree() {
   Filesystem fs;
